@@ -412,6 +412,7 @@ def _clone_conn(conn: Any, hist: Any) -> Any:
     }
     new.answers = dict(conn.answers)
     new.must_send = set(conn.must_send)
+    new.matched = set(conn.matched)
     new._buddy_raises = list(conn._buddy_raises)
     return new
 
@@ -426,6 +427,7 @@ def _clone_region(region: RegionExportState) -> RegionExportState:
         ts: BufferEntry(e.ts, e.nbytes, e.memcpy_cost, e.window, e.sent, e.payload)
         for ts, e in region.buffer._entries.items()
     }
+    buf._index = list(region.buffer._index)
     buf._sent_ts = set(region.buffer._sent_ts)
     buf.t_by_window = dict(region.buffer.t_by_window)
     new.buffer = buf
@@ -721,6 +723,15 @@ class ModelMachine:
                 conn.skip_threshold = skip
                 conn.local_skip_threshold = local_skip
                 conn.must_send = set(must_send)
+                # Derived index, not encoded: rebuilt from the answers.
+                # That may add freed objects and matches not yet
+                # exported (held by ``must_send``); ``protects`` is only
+                # asked about buffered objects, so no decision changes.
+                conn.matched = {
+                    a.matched_ts
+                    for a in conn.answers.values()
+                    if a.kind is MatchKind.MATCH and a.matched_ts is not None
+                }
                 conn.window_count = window_count
                 conn._buddy_raises = [tuple(b) for b in buddy_raises]
             for ts, window, sent in buf:

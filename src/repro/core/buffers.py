@@ -13,11 +13,21 @@ paper Section 4.1).  The paper quantifies the waste:
 quantities.  It is deliberately policy-free: *when* to buffer, free or
 send is decided by :mod:`repro.core.exporter`; the manager only records
 what happened and what it cost.
+
+Live entries are indexed by timestamp twice: a dict for point lookups
+and an ascending list beside it for range operations.  Export
+timestamps strictly increase, so buffering appends to the list in O(1)
+(an out-of-order caller, such as the model checker rebuilding a state,
+falls back to ``insort``).  Eviction (:meth:`BufferManager.free_below`)
+and window attribution (:meth:`BufferManager.attribute_window`) are
+``bisect`` range operations on that list: they cost O(log n) plus the
+entries they touch, not the whole live buffer.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -81,7 +91,8 @@ class BufferManager:
     """Timestamped buffer pool for one process's exported region.
 
     Entries are keyed by timestamp (unique because export timestamps
-    strictly increase).  An optional *capacity_bytes* bound models the
+    strictly increase) and kept in an ascending timestamp index for
+    the range operations.  An optional *capacity_bytes* bound models the
     finite buffer space the paper's conclusion lists as future work;
     exceeding it raises :class:`FrameworkError`.
     """
@@ -91,6 +102,8 @@ class BufferManager:
             require(capacity_bytes > 0, "capacity_bytes must be positive")
         self.capacity_bytes = capacity_bytes
         self._entries: dict[float, BufferEntry] = {}
+        #: Ascending live timestamps: the key set of ``_entries``, sorted.
+        self._index: list[float] = []
         self._sent_ts: set[float] = set()
         self._live_bytes = 0
         # -- counters ----------------------------------------------------
@@ -116,8 +129,16 @@ class BufferManager:
         return len(self._entries)
 
     def timestamps(self) -> list[float]:
-        """Buffered timestamps, ascending."""
-        return sorted(self._entries)
+        """Buffered timestamps, ascending (a copy of the index)."""
+        return list(self._index)
+
+    def entries_below(self, threshold: float) -> list[BufferEntry]:
+        """Live entries with ``ts < threshold``, ascending.
+
+        A ``bisect`` of the index: O(log n) plus the entries returned.
+        """
+        entries = self._entries
+        return [entries[ts] for ts in self._index[: bisect_left(self._index, threshold)]]
 
     def has(self, ts: float) -> bool:
         """Whether an object with timestamp *ts* is buffered."""
@@ -164,6 +185,7 @@ class BufferManager:
         """Record that the object at *ts* was copied into the buffer."""
         require_non_negative(nbytes, "nbytes")
         require_non_negative(memcpy_cost, "memcpy_cost")
+        require(not math.isnan(ts), "timestamp must be a number")
         require(ts not in self._entries, f"timestamp {ts} already buffered")
         if (
             self.capacity_bytes is not None
@@ -178,6 +200,11 @@ class BufferManager:
             ts=ts, nbytes=nbytes, memcpy_cost=memcpy_cost, window=window, payload=payload
         )
         self._entries[ts] = entry
+        index = self._index
+        if not index or ts > index[-1]:
+            index.append(ts)
+        else:
+            insort(index, ts)
         self._live_bytes += nbytes
         self.peak_bytes = max(self.peak_bytes, self._live_bytes)
         self.buffered_count += 1
@@ -191,11 +218,18 @@ class BufferManager:
         request (blind) that turn out to lie inside its acceptable
         region become that window's candidates, so Eq. (1) charges
         their eventual waste to ``T_window``.  Returns the number of
-        entries attributed.
+        entries attributed.  Both bounds are inclusive; the scan is a
+        ``bisect`` range of the index, so it costs O(log n) plus the
+        entries inside ``[low, high]``.
         """
+        if not low <= high:  # empty or NaN bounds
+            return 0
+        index = self._index
+        entries = self._entries
         count = 0
-        for ts, entry in self._entries.items():
-            if entry.window is None and low <= ts <= high:
+        for ts in index[bisect_left(index, low) : bisect_right(index, high)]:
+            entry = entries[ts]
+            if entry.window is None:
                 entry.window = window
                 count += 1
         return count
@@ -229,6 +263,15 @@ class BufferManager:
         the cost lands in ``unnecessary_total_time`` and — when it was
         an in-region candidate — in its window's ``T_i`` (Eq. 1).
         """
+        if ts not in self._entries:
+            raise KeyError(ts)
+        index = self._index
+        del index[bisect_left(index, ts)]
+        return self._release(ts)
+
+    def _release(self, ts: float) -> BufferEntry:
+        """Drop *ts* from the entry map and accrue the ledgers (the
+        caller has already removed it from the index)."""
         entry = self._entries.pop(ts)
         self._live_bytes -= entry.nbytes
         if not entry.sent:
@@ -248,16 +291,26 @@ class BufferManager:
 
         Returns the freed entries (ascending).  This is the eviction
         the paper shows as ``remove D@1.6, ..., D@14.6`` when a request
-        reveals that old timestamps can never be matched.
+        reveals that old timestamps can never be matched.  Only the
+        index prefix below *threshold* is visited: O(log n) plus the
+        prefix length.
         """
         require(not math.isnan(threshold), "threshold must be a number")
+        index = self._index
+        end = bisect_left(index, threshold)
+        prefix = index[:end]
         kept = set(keep)
-        doomed = sorted(ts for ts in self._entries if ts < threshold and ts not in kept)
-        return [self.free(ts) for ts in doomed]
+        if kept:
+            doomed = [ts for ts in prefix if ts not in kept]
+            index[:end] = [ts for ts in prefix if ts in kept]
+        else:
+            doomed = prefix
+            del index[:end]
+        return [self._release(ts) for ts in doomed]
 
     def free_all(self) -> list[BufferEntry]:
         """Release everything (program shutdown)."""
-        return [self.free(ts) for ts in sorted(self._entries)]
+        return self.free_below(math.inf)
 
     def t_ub(self) -> float:
         """Eq. (2): current total of in-region unnecessary buffering time."""

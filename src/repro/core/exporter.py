@@ -28,6 +28,22 @@ Section 4.1 and Figures 5/7/8), per connection:
 The region-level decision combines the per-connection votes: ``SEND``
 if any connection needs the object, else ``SKIP`` only if *every*
 connection allows skipping, else ``BUFFER``.
+
+Eviction (paper Figure 5, ``remove D@1.6, ..., D@14.6``) frees every
+buffered object strictly below the region's eviction threshold (the
+lowest connection skip threshold) unless it is unsent and some
+connection :meth:`~ConnectionExportState.protects` it: an unsent match
+(``must_send`` before its export, ``matched`` after it) or the current
+candidate of an open request.  Each connection keeps its exported
+matches as a set, added when a MATCH answer meets an exported object
+(or a ``must_send`` object is exported) and dropped when the object is
+freed, so the protected state stays bounded by the live buffer and the
+open requests.  :meth:`RegionExportState.collect_evictions`
+visits only the buffer prefix below the threshold, so an eviction
+costs O(log n) plus the entries below the line times the open
+requests, not the run's history.  :meth:`ConnectionExportState.keep_set`
+is the from-scratch recomputation of the same protected set, kept as
+the reference the model checker and the differential tests use.
 """
 
 from __future__ import annotations
@@ -155,6 +171,10 @@ class ConnectionExportState:
         self.local_skip_threshold: float = -math.inf
         #: Matched timestamps not yet exported: export them with SEND.
         self.must_send: set[float] = set()
+        #: Exported matches (MATCH answers whose object was exported,
+        #: so is buffered until freed); eviction drops each once it is
+        #: freed.  Matches not yet exported live in ``must_send``.
+        self.matched: set[float] = set()
         #: Count of requests seen (N of Eq. 2); also the window index.
         self.window_count: int = 0
         #: Threshold raises learned from buddy answers, in learn order:
@@ -255,6 +275,7 @@ class ConnectionExportState:
                 # threshold can never have passed an eventual match) —
                 # transfer it now.
                 send_now = m
+                self.matched.add(m)
             else:
                 # The buddy-help payoff: the match is known before this
                 # process has even generated it.
@@ -274,6 +295,7 @@ class ConnectionExportState:
         """
         if ts in self.must_send:
             self.must_send.discard(ts)
+            self.matched.add(ts)
             return (ExportDecision.SEND, None, None)
         # In-region candidate for an open request?  Checked BEFORE the
         # skip threshold: a later request's arrival advances the
@@ -386,8 +408,28 @@ class ConnectionExportState:
                 return False
         return ts < self.skip_threshold
 
+    def protects(self, ts: float) -> bool:
+        """Whether eviction must keep the buffered object at *ts*.
+
+        True for an unsent match (``must_send`` or a matched timestamp)
+        and for the current candidate of an open request.  For every
+        buffered *ts* this equals ``ts in self.keep_set()``, at the
+        cost of two set probes plus one pass over the open requests.
+        """
+        if ts in self.must_send or ts in self.matched:
+            return True
+        for req in self.open_requests.values():
+            if req.candidate_ts == ts:
+                return True
+        return False
+
     def keep_set(self) -> set[float]:
-        """Timestamps eviction must never free for this connection."""
+        """Timestamps eviction must never free for this connection.
+
+        The from-scratch reference for :meth:`protects`: it rebuilds
+        the set from every answer ever learned, so it is not called on
+        the eviction path.
+        """
         keep = set(self.must_send)
         for ts, answer in self.answers.items():
             del ts
@@ -596,20 +638,23 @@ class RegionExportState:
         Connections protect unsent matches and live candidates; an
         already-*sent* match below the threshold is done with and may
         be freed (paper Figure 5 line 23 frees the transferred D@19.6
-        once the next request proves it dead).
+        once the next request proves it dead).  Only the buffer prefix
+        below :meth:`evict_threshold` is visited.
         """
-        keep: set[float] = set()
-        for conn in self.connections.values():
-            keep |= conn.keep_set()
-        keep = {
-            ts
-            for ts in keep
-            if not (self.buffer.has(ts) and self.buffer.get(ts).sent)
-        }
-        return self.buffer.free_below(self.evict_threshold(), keep=keep)
+        threshold = self.evict_threshold()
+        conns = tuple(self.connections.values())
+        keep = [
+            entry.ts
+            for entry in self.buffer.entries_below(threshold)
+            if not entry.sent and any(c.protects(entry.ts) for c in conns)
+        ]
+        freed = self.buffer.free_below(threshold, keep=keep)
+        # Export timestamps strictly increase: a freed object is never
+        # buffered again, so its matched timestamp can be forgotten.
+        for entry in freed:
+            for conn in conns:
+                conn.matched.discard(entry.ts)
+        return freed
 
     def _needed_by_any(self, ts: float) -> bool:
-        for conn in self.connections.values():
-            if ts in conn.keep_set():
-                return True
-        return False
+        return any(c.protects(ts) for c in self.connections.values())

@@ -345,7 +345,11 @@ class SessionServer:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        # RFC 9110: Content-Length = 1*DIGIT (no sign, no spaces).
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, f"invalid Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise _HttpError(400, f"request body too large ({length} bytes)")
         body: dict[str, Any] | None = None

@@ -106,3 +106,63 @@ class TestConfigValidation:
         assert plane_of_channel("I0", "IR") == "cpl"
         assert plane_of_channel("IR", "ER") == "rep"
         assert plane_of_channel("ER", "E1") == "ctl"
+
+
+class TestCloneIsolation:
+    """``clone_working`` copies the exporter's derived indexes (the
+    buffer's timestamp index, each connection's matched set), so a
+    child state never mutates its parent's."""
+
+    @staticmethod
+    def _parent():
+        from repro.analysis.model import ModelMachine
+        from repro.match.result import FinalAnswer, MatchKind
+
+        machine = ModelMachine(ModelConfig())
+        w = machine.initial_working()
+        region = w.exp[0].region
+        region.on_export(1.5, 8, 1.0)
+        region.on_export(2.5, 8, 1.0)
+        region.on_buddy_answer(
+            machine.cid,
+            FinalAnswer(request_ts=2.0, kind=MatchKind.MATCH, matched_ts=1.5),
+        )
+        return machine, w
+
+    def test_mutating_a_clone_leaves_the_parent_index_alone(self):
+        from repro.analysis.model.machine import clone_working
+        from repro.match.result import FinalAnswer, MatchKind
+
+        machine, parent = self._parent()
+        before = machine.encode(parent)
+        region = parent.exp[0].region
+        conn = region.connections[machine.cid]
+        assert region.buffer.timestamps() == [1.5, 2.5]
+        assert conn.matched == {1.5}
+
+        child = clone_working(parent)
+        c_region = child.exp[0].region
+        c_conn = c_region.connections[machine.cid]
+        c_region.buffer.buffer(0.5, 8, 1.0)  # out of order: insort
+        c_region.buffer.free(2.5)
+        c_region.buffer.free_below(1.0)
+        c_conn.apply_answer(
+            FinalAnswer(request_ts=4.0, kind=MatchKind.MATCH, matched_ts=2.5), "buddy"
+        )
+        c_conn.matched.discard(1.5)
+
+        assert region.buffer.timestamps() == [1.5, 2.5]
+        assert [region.buffer.get(ts).ts for ts in region.buffer.timestamps()] == [1.5, 2.5]
+        assert conn.matched == {1.5}
+        assert sorted(conn.answers) == [2.0]
+        assert machine.encode(parent) == before
+        assert c_region.buffer.timestamps() == [1.5]
+        assert c_conn.matched == {2.5}
+
+    def test_decode_rebuilds_the_derived_indexes(self):
+        machine, parent = self._parent()
+        decoded = machine.decode(machine.encode(parent))
+        region = decoded.exp[0].region
+        assert region.buffer.timestamps() == [1.5, 2.5]
+        assert region.connections[machine.cid].matched == {1.5}
+        assert machine.encode(decoded) == machine.encode(parent)

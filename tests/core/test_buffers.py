@@ -1,5 +1,7 @@
 """Tests for BufferManager and the Eq. (1)-(2) ledgers."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,6 +140,78 @@ class TestFreeBelow:
             bm.buffer(ts, 1, 0.1)
         assert len(bm.free_all()) == 2
         assert bm.live_count == 0
+
+
+class TestTimestampIndex:
+    """The ascending index behind the range operations."""
+
+    @staticmethod
+    def _filled(*stamps: float) -> BufferManager:
+        bm = BufferManager()
+        for ts in stamps:
+            bm.buffer(ts, 1, 0.1)
+        return bm
+
+    def test_out_of_order_buffer_keeps_index_sorted(self):
+        bm = self._filled(5.0, 1.0, 3.0, 2.0, 4.0)
+        assert bm.timestamps() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert [e.ts for e in bm.free_below(3.5)] == [1.0, 2.0, 3.0]
+        assert bm.timestamps() == [4.0, 5.0]
+
+    def test_timestamps_is_a_copy(self):
+        bm = self._filled(1.0, 2.0)
+        bm.timestamps().clear()
+        assert bm.timestamps() == [1.0, 2.0]
+
+    def test_free_from_the_middle(self):
+        bm = self._filled(1.0, 2.0, 3.0, 4.0)
+        bm.free(2.0)
+        assert bm.timestamps() == [1.0, 3.0, 4.0]
+        assert [e.ts for e in bm.entries_below(4.0)] == [1.0, 3.0]
+        assert [e.ts for e in bm.free_below(3.5)] == [1.0, 3.0]
+        assert bm.timestamps() == [4.0]
+
+    def test_free_unknown_leaves_index_intact(self):
+        bm = self._filled(1.0, 3.0)
+        with pytest.raises(KeyError):
+            bm.free(2.0)
+        assert bm.timestamps() == [1.0, 3.0]
+
+    def test_kept_entries_stay_in_the_index(self):
+        bm = self._filled(1.0, 2.0, 3.0, 4.0)
+        bm.free_below(3.5, keep=[2.0])
+        assert bm.timestamps() == [2.0, 4.0]
+        bm.buffer(5.0, 1, 0.1)
+        assert [e.ts for e in bm.free_below(4.5)] == [2.0, 4.0]
+
+    def test_attribute_window_bounds_are_inclusive(self):
+        bm = self._filled(1.0, 2.0, 3.0, 4.0, 5.0)
+        assert bm.attribute_window(2.0, 4.0, window=7) == 3
+        assert [bm.get(ts).window for ts in bm.timestamps()] == [None, 7, 7, 7, None]
+        assert bm.attribute_window(4.0, 4.0, window=8) == 0  # already attributed
+        assert bm.attribute_window(5.0, 5.0, window=8) == 1
+        assert bm.attribute_window(4.5, 4.6, window=9) == 0  # between entries
+
+    def test_attribute_window_empty_and_nan_bounds(self):
+        bm = self._filled(1.0, 2.0)
+        assert bm.attribute_window(2.0, 1.0, window=1) == 0
+        assert bm.attribute_window(math.nan, 5.0, window=1) == 0
+        assert bm.attribute_window(0.0, math.nan, window=1) == 0
+        assert all(bm.get(ts).window is None for ts in bm.timestamps())
+
+    def test_free_below_infinities(self):
+        bm = self._filled(1.0, 2.0)
+        assert bm.free_below(-math.inf) == []
+        assert [e.ts for e in bm.free_below(math.inf)] == [1.0, 2.0]
+        assert bm.timestamps() == [] and bm.live_count == 0
+
+    def test_nan_rejected(self):
+        bm = self._filled(1.0)
+        with pytest.raises(ValueError, match="number"):
+            bm.free_below(math.nan)
+        with pytest.raises(ValueError, match="number"):
+            bm.buffer(math.nan, 1, 0.1)
+        assert bm.timestamps() == [1.0]
 
 
 class TestCapacity:

@@ -8,6 +8,7 @@ path the CLI takes.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from typing import Any
 
@@ -75,6 +76,47 @@ class TestSessions:
         assert validate_report_payload(report) == []
         # The fault plan really was active: retransmissions happened.
         assert done["counters"]["retransmissions"] > 0
+
+
+def _raw_request(url: str, head: str, body: bytes = b"") -> tuple[int, dict[str, Any]]:
+    """Send *head* + *body* verbatim over a socket; return (status, JSON).
+
+    The reply is read up to its own Content-Length: a worker forked
+    while the socket is open may hold it past the server's close.
+    """
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        reader = sock.makefile("rb")
+        status = int(reader.readline().split()[1])
+        length = 0
+        while (line := reader.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        return status, json.loads(reader.read(length))
+
+
+class TestHostileWire:
+    @pytest.mark.parametrize("length", ["abc", "1e3", "-5", "+3"])
+    def test_bad_content_length_is_400(self, server, length):
+        head = (
+            "POST /sessions HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        status, payload = _raw_request(server.url, head, b"{}")
+        assert status == 400, payload
+        assert "Content-Length" in payload["error"]
+
+    def test_valid_content_length_still_accepted(self, server):
+        body = json.dumps(small_spec()).encode()
+        head = (
+            "POST /sessions HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        )
+        status, payload = _raw_request(server.url, head, body)
+        assert status in (200, 201, 202), payload
+        server.client.wait(payload["id"], timeout=30)
 
 
 class TestProvenance:
